@@ -36,10 +36,17 @@ __all__ = [
     "FlightRecorder",
     "span_tree",
     "WIDE_EVENT_SCHEMA",
+    "MAX_KEPT_SPANS",
 ]
 
 #: schema tag stamped on every emitted event
 WIDE_EVENT_SCHEMA = "wide-event/1"
+
+#: span records the flight recorder holds across all kept span trees; the
+#: oldest trees go first, the newest is always kept.  A star3 execute
+#: carries ~525 spans of ~590 B, so ``capacity`` trees alone could pin
+#: ~160 MB; this budget holds ~15 such trees (~5 MB).
+MAX_KEPT_SPANS = 8192
 
 
 @dataclass
@@ -160,7 +167,8 @@ class FlightRecorder:
 
     Every event enters the ring (so ``/v1/debug/requests`` shows the
     recent past regardless of sampling); only *kept* events retain span
-    records and are appended to the spill file.  All methods are
+    records (at most ``capacity`` trees and :data:`MAX_KEPT_SPANS` spans
+    in total) and are appended to the spill file.  All methods are
     thread-safe: the service's worker pool records concurrently.
     """
 
@@ -183,6 +191,8 @@ class FlightRecorder:
         self._spans: "collections.OrderedDict[int, List[Dict[str, Any]]]" = (
             collections.OrderedDict()
         )
+        #: spans held across all kept span trees (see MAX_KEPT_SPANS)
+        self._span_total = 0
         self._lock = threading.Lock()
         self._events_total = 0
         self._kept_total = 0
@@ -210,8 +220,13 @@ class FlightRecorder:
                 self._kept_total += 1
                 if spans:
                     self._spans[event.id] = list(spans)
-                    while len(self._spans) > self.capacity:
-                        self._spans.popitem(last=False)
+                    self._span_total += len(spans)
+                    while len(self._spans) > 1 and (
+                        len(self._spans) > self.capacity
+                        or self._span_total > MAX_KEPT_SPANS
+                    ):
+                        _, evicted = self._spans.popitem(last=False)
+                        self._span_total -= len(evicted)
                 if self.spill_path is not None:
                     self._spill(payload)
             return keep

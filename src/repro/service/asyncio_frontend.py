@@ -47,7 +47,6 @@ import asyncio
 import json
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from http.client import responses as _STATUS_REASONS
 from typing import Any, Dict, Optional, Tuple
 
 from ..robustness.deadline import DeadlineExceeded
@@ -58,6 +57,7 @@ from .http import (
     MAX_BODY_BYTES,
     _retry_after_header,
     deadline_payload,
+    render_response,
     route_get,
 )
 from .service import (
@@ -77,8 +77,6 @@ _MAX_HEADERS = 100
 #: extra executor threads beyond workers + queue: GET routes and
 #: admission probes that overlap in-flight joins
 _EXECUTOR_SLACK = 4
-
-_SERVER_NAME = "repro-join-service/1.0 asyncio"
 
 
 def _prespawn_workers(pool: ThreadPoolExecutor) -> None:
@@ -111,28 +109,6 @@ class _HTTPError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-
-
-def _render(
-    status: int,
-    body: bytes,
-    content_type: str,
-    extra_headers: Tuple[Tuple[str, str], ...] = (),
-    close: bool = False,
-) -> bytes:
-    reason = _STATUS_REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Server: {_SERVER_NAME}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-    ]
-    if close:
-        lines.append("Connection: close")
-    for name, value in extra_headers:
-        lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + body
 
 
 class AsyncServiceServer:
@@ -327,10 +303,12 @@ class AsyncServiceServer:
                 )
                 content_type, extra, force_close = JSON_CONTENT_TYPE, (), False
             close = close or force_close
+            # Counted before the write: a client may read the response
+            # and check the tally before the drain below returns.
+            self.requests_served += 1
             await self._write(
                 writer, status, body, content_type, extra, close
             )
-            self.requests_served += 1
             if close:
                 return
 
@@ -347,14 +325,10 @@ class AsyncServiceServer:
         extra_headers: Tuple[Tuple[str, str], ...] = (),
         close: bool = False,
     ) -> None:
+        # asyncio sets TCP_NODELAY on its TCP transports; one buffer per
+        # response keeps the two front ends' wire behaviour identical.
         writer.write(
-            _render(
-                status,
-                body.encode("utf-8"),
-                content_type,
-                extra_headers,
-                close=close,
-            )
+            render_response(status, body, content_type, extra_headers, close)
         )
         await writer.drain()
 

@@ -156,12 +156,29 @@ class PlanCache:
         """The live cached optimizer for *key*, or None.
 
         A peek, not a use: the entry's LRU position is left alone.  The
-        service uses this to export freshly computed probe curves after an
-        optimization went through :meth:`optimize`.
+        service uses this to read the optimizer's pruning tallies after an
+        optimization went through :meth:`optimize`; anything that walks
+        its memo dicts goes through :meth:`export_probes` instead.
         """
         with self._lock:
             entry = self._entries.get(key)
             return entry.optimizer if entry is not None else None
+
+    def export_probes(
+        self, key: PlanCacheKey
+    ) -> Optional[Tuple[Dict[str, dict], int]]:
+        """The cached optimizer's probe export and its probe count, or None.
+
+        Taken under the cache lock: the export walks the optimizer's memo
+        dicts, which a concurrent cache miss on the same key adds to.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            payload = entry.optimizer.export_probes()
+        count = sum(len(record["probes"]) for record in payload.values())
+        return payload, count
 
     def aggregate_counters(self) -> Dict[str, int]:
         """Pruning/curve-reuse tallies summed over all optimizers ever cached.

@@ -1034,10 +1034,12 @@ class JoinService:
             self._curve_probe_counts[key] = optimizer.probe_count()
             return optimizer
 
-        result, _ = self.plan_cache.optimize(
+        result, was_hit = self.plan_cache.optimize(
             key, self.plans, request.requirement, factory
         )
-        self._persist_curves(key, databases, generation)
+        if not was_hit:
+            # A result hit ran no optimization, so it has no new probes.
+            self._persist_curves(key, databases, generation)
         self._publish_plan_counters(key)
         return self._plan_response(request, result)
 
@@ -1053,14 +1055,13 @@ class JoinService:
         yet — repeated requirements over a warm store are read-only, so
         their responses stay independent of request order.
         """
-        optimizer = self.plan_cache.optimizer_for(key)
-        if optimizer is None:
+        exported = self.plan_cache.export_probes(key)
+        if exported is None:
             return  # evicted between optimize and now; nothing to export
-        count = optimizer.probe_count()
-        if count <= self._curve_probe_counts.get(key, 0):
-            return
-        payload = optimizer.export_probes()
+        payload, count = exported
         with self._store_lock:
+            if count <= self._curve_probe_counts.get(key, 0):
+                return
             if self.store.generation != generation:
                 # Statistics moved on while we optimized; these probes
                 # describe curves of a superseded generation.
@@ -1069,8 +1070,9 @@ class JoinService:
                 self.signature, databases, generation, payload
             )
             self.store.save()
-        self._curve_probe_counts[key] = count
-        self._curve_exports += 1
+            self._curve_probe_counts[key] = count
+        with self._metrics_lock:
+            self._curve_exports += 1
 
     def _publish_plan_counters(self, key: PlanCacheKey) -> None:
         """Fold the cached optimizer's pruning tallies into the metrics.

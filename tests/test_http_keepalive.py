@@ -18,7 +18,10 @@ PR-10 sweep; all three fail against the pre-fix handler:
    expiry to a clean 504 + close.
 
 The tests drive raw sockets (urllib cannot pipeline or half-close) and a
-stub service, so they exercise exactly the HTTP layer.
+stub service, so they exercise exactly the HTTP layer.  The last two
+classes pin the response wire format: one write per response on a
+``TCP_NODELAY`` socket, and byte-identical responses from the threaded
+and asyncio front ends.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.service.http import MAX_BODY_BYTES, ServiceHTTPServer
+from repro.service.asyncio_frontend import AsyncServiceServer
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    ServiceHTTPServer,
+    ServiceRequestHandler,
+)
+from repro.service.service import ServiceBusyError, response_json
 
 
 class StubService:
@@ -40,8 +49,11 @@ class StubService:
         self.submitted = []
         self.resolve_with = {"ok": True}
         self.never_resolve = False
+        self.busy = None
 
     def submit(self, request):
+        if self.busy is not None:
+            raise ServiceBusyError(retry_after=self.busy)
         self.submitted.append(request)
         future = Future()
         if not self.never_resolve:
@@ -230,3 +242,160 @@ class TestRequestTimeoutBackstop:
         assert body["error"] == "request timed out in service"
         assert body["timeout_seconds"] == 1.0
         assert len(service.submitted) == 1
+
+
+class _RecordingHandler(ServiceRequestHandler):
+    """Records the accepted socket's TCP_NODELAY and every wfile write."""
+
+    def setup(self):
+        super().setup()
+        self.server.nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        write = self.wfile.write
+        writes = self.server.writes
+
+        def counting_write(data):
+            writes.append(bytes(data))
+            return write(data)
+
+        self.wfile.write = counting_write
+
+
+@pytest.fixture()
+def recording_server(stub_server):
+    service, server = stub_server
+    server.nodelay, server.writes = [], []
+    server.RequestHandlerClass = _RecordingHandler
+    yield service, server
+
+
+def _join_request(payload: bytes) -> bytes:
+    return (
+        b"POST /v1/join HTTP/1.1\r\n"
+        b"Host: t\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(payload)
+    ) + payload
+
+
+def _read_one_response(sock: socket.socket) -> bytes:
+    """The raw bytes of exactly one response (status line to body end)."""
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head: {buffer!r}"
+        buffer += chunk
+    head_end = buffer.index(b"\r\n\r\n") + 4
+    length = 0
+    for line in buffer[:head_end].split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    end = head_end + length
+    while len(buffer) < end:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        buffer += chunk
+    assert len(buffer) == end, f"unexpected trailing bytes: {buffer!r}"
+    return buffer
+
+
+class TestOneWritePerResponse:
+    """Headers and body leave in one write on a TCP_NODELAY socket.
+
+    Two writes (headers, then body) on a socket with Nagle's algorithm
+    on make the kernel hold the body until the client ACKs the headers,
+    and a client delaying that ACK stalls every keep-alive request by
+    ~40 ms.  These tests count writes instead of timing them.
+    """
+
+    def test_accepted_socket_has_tcp_nodelay(self, recording_server):
+        _service, server = recording_server
+        with _connect(server) as sock:
+            sock.sendall(b"GET /v1/nonsense HTTP/1.1\r\nHost: t\r\n\r\n")
+            _read_one_response(sock)
+        assert server.nodelay and all(server.nodelay)
+
+    def test_join_response_is_one_write_on_keep_alive(self, recording_server):
+        service, server = recording_server
+        service.resolve_with = {"plan": "p1", "feasible": True}
+        payload = json.dumps({"tau_good": 40, "tau_bad": 1000}).encode()
+        with _connect(server) as sock:
+            responses = []
+            for _ in range(3):  # one connection, three requests
+                sock.sendall(_join_request(payload))
+                responses.append(_read_one_response(sock))
+        assert len(server.writes) == 3, "one write per response"
+        assert server.writes == responses
+        for raw in responses:
+            ((status, headers, body),) = _parse_responses(raw)
+            assert status == 200
+            assert headers.get("connection") != "close"
+            assert json.loads(body) == service.resolve_with
+        assert len(service.submitted) == 3
+
+
+@pytest.fixture(params=["threaded", "async"])
+def stub_frontend(request):
+    if request.param == "threaded":
+        yield request.getfixturevalue("stub_server")
+        return
+    service = StubService()
+    server = AsyncServiceServer(
+        service, request_timeout=1.0, executor_workers=4
+    ).start()
+    try:
+        yield service, server
+    finally:
+        server.shutdown()
+
+
+def _expected(status_line: str, body: dict, *headers: str) -> bytes:
+    payload = response_json(body).encode()
+    head = [
+        status_line,
+        "Server: repro-join-service/1.0",
+        "Content-Type: application/json",
+        f"Content-Length: {len(payload)}",
+        *headers,
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + payload
+
+
+class TestWireFormat:
+    """Both front ends put the same bytes on the wire for one response."""
+
+    PAYLOAD = json.dumps({"tau_good": 40, "tau_bad": 1000}).encode()
+
+    def test_join_response_bytes_on_keep_alive(self, stub_frontend):
+        service, server = stub_frontend
+        service.resolve_with = {"plan": "p1", "feasible": True}
+        expected = _expected("HTTP/1.1 200 OK", service.resolve_with)
+        with _connect(server) as sock:
+            for _ in range(2):
+                sock.sendall(_join_request(self.PAYLOAD))
+                assert _read_one_response(sock) == expected
+
+    def test_shed_response_bytes(self, stub_frontend):
+        service, server = stub_frontend
+        service.busy = 2.4
+        with _connect(server) as sock:
+            sock.sendall(_join_request(self.PAYLOAD))
+            assert _read_one_response(sock) == _expected(
+                "HTTP/1.1 503 Service Unavailable",
+                {"error": "overloaded", "retry_after": 2.4},
+                "Retry-After: 3",
+            )
+
+    def test_connection_close_response_bytes(self, stub_frontend):
+        _service, server = stub_frontend
+        request = _join_request(self.PAYLOAD).replace(
+            b"Host: t\r\n", b"Host: t\r\nConnection: close\r\n"
+        )
+        with _connect(server) as sock:
+            sock.sendall(request)
+            assert _read_one_response(sock) == _expected(
+                "HTTP/1.1 200 OK", {"ok": True}, "Connection: close"
+            )
+            assert _read_until_eof(sock) == b"", "connection must close"

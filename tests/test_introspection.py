@@ -28,6 +28,7 @@ from repro.observability.context import (
     ObservabilityContext,
 )
 from repro.observability.events import (
+    MAX_KEPT_SPANS,
     WIDE_EVENT_SCHEMA,
     FlightRecorder,
     TailSampler,
@@ -158,6 +159,28 @@ class TestFlightRecorder:
         dropped = recorder.get(2)
         assert dropped is not None and dropped["spans"] == []
         assert recorder.get(999) is None
+
+    def test_kept_spans_stay_within_the_span_budget(self):
+        recorder = FlightRecorder(capacity=64, sampler=TailSampler(1))
+
+        def spans(count):
+            return [
+                {"id": i, "parent": None, "name": f"s{i}"}
+                for i in range(count)
+            ]
+
+        for request_id in range(1, 41):
+            recorder.record(_event(request_id), spans=spans(1000))
+        held = [len(recorder.get(i)["spans"]) for i in range(1, 41)]
+        assert sum(held) <= MAX_KEPT_SPANS
+        # oldest trees went first; the newest one is intact
+        fits = MAX_KEPT_SPANS // 1000
+        assert held[:-fits] == [0] * (40 - fits)
+        assert held[-fits:] == [1000] * fits
+        # a tree larger than the whole budget is still kept when newest
+        recorder.record(_event(41), spans=spans(MAX_KEPT_SPANS + 1000))
+        assert len(recorder.get(41)["spans"]) == MAX_KEPT_SPANS + 1000
+        assert recorder.get(40)["spans"] == []
 
     def test_spill_is_valid_jsonl(self, tmp_path):
         spill = tmp_path / "flight" / "spill.jsonl"

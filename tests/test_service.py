@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import QualityRequirement
 from repro.optimizer import AdaptiveJoinExecutor, enumerate_plans
+from repro.optimizer.optimizer import JoinOptimizer
 from repro.service import (
     JoinRequest,
     JoinService,
@@ -395,6 +396,30 @@ class TestJoinService:
             curve_stats = revived.stats()["curve_store"]
             assert curve_stats["hits"] >= 1
             assert "repro_curve_cache_hits_total" in revived.render_metrics()
+
+    def test_curve_export_runs_under_the_plan_cache_lock(
+        self, warmed_service, monkeypatch
+    ):
+        """Regression: persisting curves walked the cached optimizer's memo
+        dicts outside the plan cache's lock, so a concurrent miss on the
+        same optimizer could fail it with ``RuntimeError: dictionary
+        changed size during iteration`` (an HTTP 500).  A result hit
+        computes no probes and exports nothing."""
+        service, _ = warmed_service
+        locked = []
+        export_probes = JoinOptimizer.export_probes
+
+        def recording_export(optimizer):
+            locked.append(service.plan_cache._lock.locked())
+            return export_probes(optimizer)
+
+        monkeypatch.setattr(JoinOptimizer, "export_probes", recording_export)
+        request = JoinRequest(tau_good=TAU_GOOD + 3, tau_bad=7777, mode="plan")
+        first = service.execute(request)
+        assert locked and all(locked)
+        locked.clear()
+        assert service.execute(request) == first
+        assert locked == []
 
     def test_stats_and_health_and_metrics(self, warmed_service, hq_ex_task):
         service, _ = warmed_service
